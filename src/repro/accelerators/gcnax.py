@@ -79,32 +79,40 @@ class _TileStats:
 
 
 def _tile_statistics(sparse, tile_rows: int, tile_cols: int) -> _TileStats:
-    """Per-tile non-zero counts and distinct-column counts, fully vectorised."""
+    """Per-tile non-zero counts and distinct-column counts, in tile-id order.
+
+    Each non-zero gets the key ``band * (grid_cols * tile_cols) + col`` with
+    ``band = row // tile_rows``, so ``key // tile_cols`` is its tile id and
+    equal keys are the same (tile, column) pair.  The count relies on CSR
+    row-major order: the keys are one run per row, sorted when the row's
+    column indices are, so the stable sort (timsort) only merges runs; any
+    order still gives the right counts.  After the sort, tile ids are
+    non-decreasing and every count is read from run boundaries.
+    """
     n_rows, n_cols = sparse.shape
-    grid_cols = (n_cols + tile_cols - 1) // tile_cols
-    row_of_nnz = np.repeat(np.arange(n_rows), sparse.row_nnz())
-    if row_of_nnz.size == 0:
+    if sparse.nnz == 0:
         empty = np.zeros(0, dtype=np.int64)
         return _TileStats(num_tiles=0, nnz_per_tile=empty, distinct_cols_per_tile=empty)
-    tile_row = row_of_nnz // tile_rows
-    tile_col = sparse.indices // tile_cols
-    tile_id = tile_row * grid_cols + tile_col
+    grid_cols = -(-n_cols // tile_cols)
+    band_of_nnz = np.repeat(np.arange(n_rows, dtype=np.int64) // tile_rows, sparse.row_nnz())
+    keys = np.sort(band_of_nnz * np.int64(grid_cols * tile_cols) + sparse.indices, kind="stable")
+    tile_of_key = keys // tile_cols
 
-    # Non-zeros per occupied tile.
-    occupied, nnz_per_tile = np.unique(tile_id, return_counts=True)
+    # Tile-id runs are the occupied tiles; their lengths the non-zeros per tile.
+    tile_start = np.flatnonzero(
+        np.concatenate(([True], tile_of_key[1:] != tile_of_key[:-1]))
+    )
+    nnz_per_tile = np.diff(tile_start, append=keys.size)
 
     # Distinct (tile, column) pairs: the number of dense RHS rows each tile
-    # must bring on chip.
-    pair_key = tile_id * np.int64(n_cols) + sparse.indices
-    unique_pairs = np.unique(pair_key)
-    pair_tile = unique_pairs // np.int64(n_cols)
-    distinct_per_tile = np.searchsorted(occupied, pair_tile)
-    distinct_counts = np.bincount(distinct_per_tile, minlength=occupied.size)
+    # must bring on chip, one per new key inside the tile's run.
+    new_key = np.concatenate(([True], keys[1:] != keys[:-1]))
+    distinct_per_tile = np.add.reduceat(new_key, tile_start, dtype=np.int64)
 
     return _TileStats(
-        num_tiles=int(occupied.size),
-        nnz_per_tile=nnz_per_tile.astype(np.int64),
-        distinct_cols_per_tile=distinct_counts.astype(np.int64),
+        num_tiles=int(tile_start.size),
+        nnz_per_tile=nnz_per_tile,
+        distinct_cols_per_tile=distinct_per_tile,
     )
 
 

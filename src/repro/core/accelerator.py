@@ -145,7 +145,7 @@ class GrowSimulator:
 
         cache = HDNCache(
             capacity_bytes=cfg.hdn_cache_bytes if cfg.enable_hdn_cache else 0,
-            id_list=HDNIdList(capacity=cfg.hdn_id_capacity),
+            id_list=HDNIdList(capacity=cfg.hdn_id_capacity, universe=phase.dense_shape[0]),
         )
         cache.begin_phase(row_bytes)
         cache_rows = cfg.hdn_cache_rows(row_bytes)

@@ -10,7 +10,9 @@ The I-BUF_dense of GROW (paper Figure 8) is split into two structures:
 
 Lookups are batched: the simulator passes the whole column-index stream of a
 cluster's adjacency rows and gets back a hit mask, which keeps the Python
-simulation vectorised.
+simulation vectorised.  A CAM answers a membership query in constant time,
+and so does the model: the ID list is a boolean bitmap over the phase's node
+id space, so a batch lookup is one gather.
 """
 
 from __future__ import annotations
@@ -22,49 +24,73 @@ import numpy as np
 
 @dataclass
 class HDNIdList:
-    """The CAM that holds the ids of the currently cached high-degree nodes."""
+    """The CAM that holds the ids of the currently cached high-degree nodes.
+
+    Attributes:
+        capacity: maximum number of ids the list holds.
+        node_ids: the resident ids, distinct, in the order they were loaded.
+        universe: size of the node id space the membership bitmap covers
+            (the phase's RHS row count); ``load`` grows it on demand.
+    """
 
     capacity: int
     node_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    universe: int = 0
 
     def __post_init__(self) -> None:
-        self.node_ids = np.asarray(self.node_ids, dtype=np.int64)
+        node_ids = np.asarray(self.node_ids, dtype=np.int64)
         if self.capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if self.node_ids.size > self.capacity:
+        if node_ids.size > self.capacity:
             raise ValueError(
-                f"HDN ID list overflow: {self.node_ids.size} ids, capacity {self.capacity}"
+                f"HDN ID list overflow: {node_ids.size} ids, capacity {self.capacity}"
             )
-        # ``lookup`` binary-searches the list, so keep it sorted even when the
-        # ids are injected directly instead of via ``load``.
-        self.node_ids = np.sort(self.node_ids, kind="stable")
+        # Allocated once and reused by every ``load`` of the phase: a load
+        # clears only the bits of the ids it replaces.
+        self._bitmap = np.zeros(self.universe, dtype=bool)
+        self.node_ids = np.empty(0, dtype=np.int64)
+        self.load(node_ids)
 
     def load(self, node_ids: np.ndarray) -> None:
-        """Replace the list contents with a new cluster's HDN ids."""
-        # Sorted-unique by sort + adjacent-difference mask: identical to
-        # ``np.unique`` (whose output is sorted) without its hash path, and
-        # the sorted invariant lets ``lookup`` use binary search.
-        node_ids = np.sort(np.asarray(node_ids, dtype=np.int64), kind="stable")
+        """Replace the list contents with a new cluster's HDN ids.
+
+        Keeps the first ``capacity`` distinct ids in the order given, which
+        for a cluster's HDN list is descending degree.
+        """
+        node_ids = np.asarray(node_ids, dtype=np.int64)
         if node_ids.size > 1:
-            keep = np.empty(node_ids.shape, dtype=bool)
-            keep[0] = True
-            np.not_equal(node_ids[1:], node_ids[:-1], out=keep[1:])
-            node_ids = node_ids[keep]
-        if node_ids.size > self.capacity:
-            node_ids = node_ids[: self.capacity]
+            # First occurrences, in input order: a stable sort puts each
+            # value's first occurrence at the head of its run.
+            order = np.argsort(node_ids, kind="stable")
+            ranked = node_ids[order]
+            first = np.empty(ranked.shape, dtype=bool)
+            first[0] = True
+            np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+            node_ids = node_ids[np.sort(order[first], kind="stable")]
+        node_ids = node_ids[: self.capacity]
+        if node_ids.size and node_ids.min() < 0:
+            raise ValueError("HDN node ids must be non-negative")
+
+        self._bitmap[self.node_ids] = False
+        if node_ids.size and node_ids.max() >= self._bitmap.size:
+            self._bitmap = np.zeros(int(node_ids.max()) + 1, dtype=bool)
+            self.universe = self._bitmap.size
+        self._bitmap[node_ids] = True
         self.node_ids = node_ids
 
     def lookup(self, columns: np.ndarray) -> np.ndarray:
         """Boolean hit mask for a batch of column ids (CAM lookups)."""
-        ids = self.node_ids
-        if ids.size == 0:
-            return np.zeros(np.asarray(columns).shape, dtype=bool)
         columns = np.asarray(columns, dtype=np.int64)
-        # ``load`` keeps the list sorted, so membership is one binary search
-        # per column (the mask is the same set test ``np.isin`` performs).
-        pos = np.searchsorted(ids, columns)
-        pos[pos == ids.size] = 0
-        return ids[pos] == columns
+        bitmap = self._bitmap
+        if self.node_ids.size == 0 or columns.size == 0:
+            return np.zeros(columns.shape, dtype=bool)
+        if columns.min() >= 0 and columns.max() < bitmap.size:
+            return bitmap[columns]
+        # Ids outside the bitmap were never loaded: they miss.
+        inside = (columns >= 0) & (columns < bitmap.size)
+        hits = np.zeros(columns.shape, dtype=bool)
+        hits[inside] = bitmap[columns[inside]]
+        return hits
 
     @property
     def size(self) -> int:

@@ -20,6 +20,15 @@ def test_id_list_truncates_to_capacity():
     assert id_list.size == 3
 
 
+def test_id_list_keeps_first_ids_in_load_order():
+    # HDN lists arrive in descending degree: truncation keeps their head,
+    # not the lowest-numbered ids.
+    id_list = HDNIdList(capacity=2)
+    id_list.load(np.array([9, 8, 7, 1]))
+    hits = id_list.lookup(np.array([9, 8, 7, 1]))
+    np.testing.assert_array_equal(hits, [True, True, False, False])
+
+
 def test_id_list_empty_lookup():
     id_list = HDNIdList(capacity=4)
     assert not id_list.lookup(np.array([1, 2, 3])).any()
