@@ -35,7 +35,7 @@ Commands:
 * ``trace <file>``               — summarise a trace written by ``--trace``:
   top spans, phase breakdown, cache hit rates.
 * ``stats``                      — query the persistent run ledger
-  (``benchmarks/ledger.jsonl``): runs by kind/backend/dataset/outcome,
+  (``benchmarks/ledger.local.jsonl``): runs by kind/backend/dataset/outcome,
   cache hit rates, slowest phases and runs.
 * ``dash <out.html>``            — generate the self-contained HTML
   performance dashboard (benchmark trajectory with noise-aware trend
@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="ledger JSONL to read (default: the active ledger, "
-        "benchmarks/ledger.jsonl or $REPRO_LEDGER)",
+        "benchmarks/ledger.local.jsonl or $REPRO_LEDGER)",
     )
     stats_parser.add_argument(
         "--kind",
@@ -470,7 +470,7 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-ledger",
         action="store_true",
         help="do not append this run to the persistent run ledger "
-        "(benchmarks/ledger.jsonl; see also REPRO_LEDGER)",
+        "(benchmarks/ledger.local.jsonl; see also REPRO_LEDGER)",
     )
 
 

@@ -57,12 +57,12 @@ class HyGCNSimulator:
     def __init__(self, config: HyGCNConfig | None = None) -> None:
         self.config = config or HyGCNConfig()
 
-    def _aggregation_engine(self, adjacency: CSRMatrix, features: np.ndarray) -> PhaseStats:
+    def _aggregation_engine(self, adjacency: CSRMatrix, features: CSRMatrix) -> PhaseStats:
         """Sparse-sparse engine computing ``A X`` with a sliding window cache."""
         cfg = self.config
         arch = cfg.arch
         granularity = arch.access_granularity
-        num_features = features.shape[1]
+        num_features = features.n_cols
         feature_row_bytes = num_features * 8
         row_lines = -(-feature_row_bytes // granularity)
 
@@ -83,7 +83,7 @@ class HyGCNSimulator:
 
         # (A X) MACs: only non-zero feature entries contribute.  We use the
         # measured feature density to scale the ideal count.
-        density = float((features != 0).mean()) if features.size else 0.0
+        density = features.density
         mac_ops = int(adjacency.nnz * num_features * density)
         macs = max(1.0, arch.num_macs * cfg.aggregation_share)
         compute_cycles = mac_ops / macs
@@ -143,12 +143,11 @@ class HyGCNSimulator:
     def run_layer(self, workload: LayerWorkload) -> AcceleratorResult:
         """Simulate a layer given the standard workload description.
 
-        HyGCN computes ``(A X) W``, so it needs X (the combination phase's
-        sparse matrix) rather than XW; the workload carries both.
+        HyGCN computes ``(A X) W``, so it reads the structure of X (the
+        combination phase's sparse matrix) and only the shape of W; the
+        dense XW the other dataflows stream never enters.
         """
-        features = workload.combination.sparse.to_dense()
-        adjacency = workload.aggregation.sparse
-        agg = self._aggregation_engine(adjacency, features)
+        agg = self._aggregation_engine(workload.aggregation.sparse, workload.combination.sparse)
         comb = self._combination_engine(
             workload.num_nodes, workload.combination.dense_shape[0], workload.combination.dense_shape[1]
         )

@@ -29,7 +29,10 @@ class SpDeGemmPhase:
         name: ``"combination"`` or ``"aggregation"``.
         sparse: the LHS matrix in CSR form (A for aggregation, X for combination).
         dense_shape: shape of the dense RHS matrix (K, N).
-        dense: optional materialised RHS, used for functional verification.
+        dense: the materialised RHS, set only for functional verification
+            (``build_layer_workload(..., materialize=True)``); the cycle
+            models read ``dense_shape`` alone, so simulation bundles leave
+            it ``None``.
         rhs_resident: True when the RHS is small enough to be pinned on-chip
             for the whole phase (the weight matrix W during combination).
     """
@@ -105,20 +108,21 @@ class LayerWorkload:
         return self.combination.mac_operations + self.aggregation.mac_operations
 
 
-def build_layer_workload(layer: GCNLayer, materialize: bool = True) -> LayerWorkload:
+def build_layer_workload(layer: GCNLayer, materialize: bool = False) -> LayerWorkload:
     """Build the workload of one GCN layer.
 
     Args:
         layer: the GCN layer (adjacency, features, weights).
-        materialize: when True, the dense RHS matrices (W and XW) are stored
-            on the phases so simulators can verify functional correctness;
-            set False to save memory for large sweeps.
+        materialize: when True, the dense RHS matrices (W and the XW
+            product, computed here) are stored on the phases so
+            :meth:`SpDeGemmPhase.reference_output` and ``compute_output`` can
+            verify functional correctness.  The default builds the
+            structure-only workload the cycle models consume.
     """
     weight = layer.weight
-    xw = layer.combination()
     combination = SpDeGemmPhase(
         name="combination",
-        sparse=layer.features_csr,
+        sparse=layer.features,
         dense_shape=weight.shape,
         dense=weight if materialize else None,
         rhs_resident=True,
@@ -126,13 +130,13 @@ def build_layer_workload(layer: GCNLayer, materialize: bool = True) -> LayerWork
     aggregation = SpDeGemmPhase(
         name="aggregation",
         sparse=layer.adjacency,
-        dense_shape=xw.shape,
-        dense=xw if materialize else None,
+        dense_shape=(layer.num_nodes, layer.out_features),
+        dense=layer.combination() if materialize else None,
         rhs_resident=False,
     )
     return LayerWorkload(name=layer.name, combination=combination, aggregation=aggregation)
 
 
-def build_model_workloads(model: GCNModel, materialize: bool = True) -> list[LayerWorkload]:
+def build_model_workloads(model: GCNModel, materialize: bool = False) -> list[LayerWorkload]:
     """Build the per-layer workloads of a whole GCN model."""
     return [build_layer_workload(layer, materialize=materialize) for layer in model.layers]

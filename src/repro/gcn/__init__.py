@@ -1,6 +1,6 @@
 """GCN model substrate: features, layers, reference execution, MAC counting."""
 
-from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
+from repro.gcn.features import generate_feature_csr, generate_weight_matrix
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
 from repro.gcn.ops_count import (
     ExecutionOrder,
@@ -12,7 +12,7 @@ from repro.gcn.ops_count import (
 from repro.gcn.reference import gcn_layer_forward, gcn_model_forward, relu
 
 __all__ = [
-    "generate_feature_matrix",
+    "generate_feature_csr",
     "generate_weight_matrix",
     "GCNLayer",
     "GCNModel",

@@ -1,19 +1,19 @@
 """GCN layer and model descriptions.
 
 A :class:`GCNLayer` bundles everything one graph-convolution layer needs:
-the normalised adjacency A (sparse), the input feature matrix X (sparse or
-dense, per Table I), and the weight matrix W (dense).  A :class:`GCNModel`
+the normalised adjacency A (sparse), the input feature matrix X (sparse, at
+the Table I density), and the weight matrix W (dense).  A :class:`GCNModel`
 stacks layers, threading each layer's output features into the next layer's
 input, which is how multi-layer inference is simulated end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gcn.features import generate_feature_matrix, generate_weight_matrix
+from repro.gcn.features import generate_feature_csr, generate_weight_matrix
 from repro.graph.datasets import SyntheticDataset
 from repro.graph.graph import Graph
 from repro.sparse.convert import dense_to_csr
@@ -26,34 +26,36 @@ class GCNLayer:
 
     Attributes:
         adjacency: normalised adjacency matrix A in CSR form.
-        features: input feature matrix X as a dense array (its sparsity is
-            captured separately in :attr:`features_csr`).
+        features: input feature matrix X in CSR form, the layer's only copy
+            of X (a dense array is accepted and compressed).  The reference
+            paths (:meth:`combination`, :meth:`forward`) densify it on
+            demand; the simulators read only its structure.
         weight: dense weight matrix W.
         name: label used in reports (e.g. ``"cora-layer0"``).
         apply_relu: whether the non-linearity is applied to the output.
     """
 
     adjacency: CSRMatrix
-    features: np.ndarray
+    features: CSRMatrix
     weight: np.ndarray
     name: str = "layer"
     apply_relu: bool = True
-    _features_csr: CSRMatrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
+        if not isinstance(self.features, CSRMatrix):
+            self.features = dense_to_csr(self.features)
         self.weight = np.asarray(self.weight, dtype=np.float64)
         n = self.adjacency.n_rows
         if self.adjacency.n_cols != n:
             raise ValueError("adjacency matrix must be square")
-        if self.features.shape[0] != n:
+        if self.features.n_rows != n:
             raise ValueError(
-                f"feature rows ({self.features.shape[0]}) must equal number of nodes ({n})"
+                f"feature rows ({self.features.n_rows}) must equal number of nodes ({n})"
             )
-        if self.weight.shape[0] != self.features.shape[1]:
+        if self.weight.shape[0] != self.features.n_cols:
             raise ValueError(
                 "weight rows must equal feature columns: "
-                f"{self.weight.shape[0]} vs {self.features.shape[1]}"
+                f"{self.weight.shape[0]} vs {self.features.n_cols}"
             )
 
     @property
@@ -62,31 +64,28 @@ class GCNLayer:
 
     @property
     def in_features(self) -> int:
-        return self.features.shape[1]
+        return self.features.n_cols
 
     @property
     def out_features(self) -> int:
         return self.weight.shape[1]
 
     @property
-    def features_csr(self) -> CSRMatrix:
-        """The input feature matrix compressed in CSR (X of combination)."""
-        if self._features_csr is None:
-            self._features_csr = dense_to_csr(self.features)
-        return self._features_csr
-
-    @property
     def feature_density(self) -> float:
         """Measured density of the input feature matrix."""
-        return self.features_csr.density
+        return self.features.density
 
     def combination(self) -> np.ndarray:
-        """The combination product ``XW`` (dense)."""
-        return self.features @ self.weight
+        """The combination product ``XW`` (dense; X is densified, not cached)."""
+        return self.features.to_dense() @ self.weight
 
-    def forward(self) -> np.ndarray:
-        """Reference forward pass ``sigma(A (X W))``."""
-        xw = self.combination()
+    def forward(self, features: np.ndarray | None = None) -> np.ndarray:
+        """Reference forward pass ``sigma(A (X W))``.
+
+        ``features`` is a dense X to use in place of the layer's own; the
+        model threads each layer's output into the next layer this way.
+        """
+        xw = self.combination() if features is None else features @ self.weight
         out = self.adjacency.matmul_dense(xw)
         if self.apply_relu:
             out = np.maximum(out, 0.0)
@@ -120,16 +119,9 @@ class GCNModel:
 
     def forward(self) -> np.ndarray:
         """Reference end-to-end forward pass, re-threading features layer to layer."""
-        activations = self.layers[0].features
-        for index, layer in enumerate(self.layers):
-            working = GCNLayer(
-                adjacency=layer.adjacency,
-                features=activations,
-                weight=layer.weight,
-                name=layer.name,
-                apply_relu=layer.apply_relu,
-            )
-            activations = working.forward()
+        activations = self.layers[0].features.to_dense()
+        for layer in self.layers:
+            activations = layer.forward(activations)
         return activations
 
 
@@ -144,7 +136,8 @@ def build_model_for_dataset(
     (Table I).  Layer 1's input features are generated at the published X(1)
     density rather than taken from layer 0's output, so each layer's sparsity
     structure matches the paper's characterisation independently of the
-    numerical forward pass.
+    numerical forward pass.  Each X is generated straight into CSR
+    (:func:`~repro.gcn.features.generate_feature_csr`).
     """
     rng = np.random.default_rng(seed)
     source_graph = graph if graph is not None else dataset.graph
@@ -154,7 +147,7 @@ def build_model_for_dataset(
     for layer_idx in range(dataset.num_layers):
         in_width, out_width = widths[layer_idx], widths[layer_idx + 1]
         density = dataset.feature_density(layer_idx)
-        features = generate_feature_matrix(dataset.num_nodes, in_width, density, rng)
+        features = generate_feature_csr(dataset.num_nodes, in_width, density, rng)
         weight = generate_weight_matrix(in_width, out_width, rng)
         layers.append(
             GCNLayer(

@@ -46,7 +46,7 @@ def mac_count_ax_w(layer: GCNLayer) -> int:
     Stage 1 multiplies sparse A by (possibly sparse) X; stage 2 multiplies the
     resulting dense AX by the dense W.
     """
-    stage1 = _spsp_macs(layer.adjacency, layer.features_csr)
+    stage1 = _spsp_macs(layer.adjacency, layer.features)
     # AX is effectively dense: every row of it feeds the dense GEMM with W.
     stage2 = layer.num_nodes * layer.in_features * layer.out_features
     return stage1 + stage2
@@ -58,7 +58,7 @@ def mac_count_a_xw(layer: GCNLayer) -> int:
     Stage 1 (combination) multiplies sparse-or-dense X by dense W; stage 2
     (aggregation) multiplies sparse A by the dense XW.
     """
-    stage1 = _spmm_macs(layer.features_csr.nnz, layer.out_features)
+    stage1 = _spmm_macs(layer.features.nnz, layer.out_features)
     stage2 = _spmm_macs(layer.adjacency.nnz, layer.out_features)
     return stage1 + stage2
 

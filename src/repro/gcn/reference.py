@@ -37,4 +37,6 @@ def gcn_model_forward(model: GCNModel) -> np.ndarray:
 
 def layer_output_reference(layer: GCNLayer) -> np.ndarray:
     """Reference output of one already-constructed layer."""
-    return gcn_layer_forward(layer.adjacency, layer.features, layer.weight, layer.apply_relu)
+    return gcn_layer_forward(
+        layer.adjacency, layer.features.to_dense(), layer.weight, layer.apply_relu
+    )

@@ -27,7 +27,9 @@ class WorkloadBundle:
     Attributes:
         dataset: the materialised synthetic dataset.
         model: the two-layer GCN built to the dataset's published configuration.
-        workloads: per-layer SpDeGEMM workloads.
+        workloads: per-layer SpDeGEMM workloads, structure-only: the cycle
+            models read sparsity structure and dense shapes, so no phase
+            carries a dense RHS (``dense is None``) and X exists only as CSR.
         plan: preprocessing plan with graph partitioning.
         plan_unpartitioned: preprocessing plan without graph partitioning
             (single cluster, globally selected HDNs).

@@ -28,9 +28,12 @@ Resolution of the ledger location (:func:`ledger_path`):
 1. a CLI ``--no-ledger`` flag (via :func:`disable_ledger`) wins;
 2. the ``REPRO_LEDGER`` environment variable — a path, or one of
    ``0/off/false/no/none`` (or empty) to disable;
-3. otherwise ``benchmarks/ledger.jsonl`` relative to the working
+3. otherwise ``benchmarks/ledger.local.jsonl`` relative to the working
    directory, *only* when ``benchmarks/`` already exists — library users
-   outside a checkout never get a surprise directory.
+   outside a checkout never get a surprise directory.  That file is
+   git-ignored, so ordinary runs never modify a tracked file; the tracked
+   ``benchmarks/ledger.jsonl`` is curated history, read or extended only
+   through ``REPRO_LEDGER=benchmarks/ledger.jsonl``.
 
 Stdlib-only, like every substrate module under :mod:`repro.obs`.
 """
@@ -52,8 +55,8 @@ LEDGER_SCHEMA = 1
 #: Environment variable naming the ledger file (or disabling it).
 LEDGER_ENV = "REPRO_LEDGER"
 
-#: Default ledger file, used when ``benchmarks/`` already exists.
-DEFAULT_LEDGER_PATH = Path("benchmarks") / "ledger.jsonl"
+#: Default ledger file, used when ``benchmarks/`` already exists (git-ignored).
+DEFAULT_LEDGER_PATH = Path("benchmarks") / "ledger.local.jsonl"
 
 #: Environment values (case-insensitive) that disable the ledger.
 _DISABLE_VALUES = frozenset({"", "0", "off", "false", "no", "none"})

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 
 # Tests must never append to the repository's real run ledger
-# (benchmarks/ledger.jsonl); ledger tests opt back in on tmp paths.
+# (benchmarks/ledger.local.jsonl); ledger tests opt back in on tmp paths.
 # Set before any repro import so CLI subprocesses inherit it too.
 os.environ["REPRO_LEDGER"] = "0"
 
@@ -96,8 +96,8 @@ def small_model(small_dataset):
 
 @pytest.fixture(scope="session")
 def small_workloads(small_model):
-    """Per-layer SpDeGEMM workloads of the small model."""
-    return build_model_workloads(small_model)
+    """Per-layer SpDeGEMM workloads of the small model, dense RHS included."""
+    return build_model_workloads(small_model, materialize=True)
 
 
 @pytest.fixture(scope="session")

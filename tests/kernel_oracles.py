@@ -1,8 +1,9 @@
-"""Reference implementations of two simulator kernels, kept as test oracles.
+"""Reference implementations of simulator kernels, kept as test oracles.
 
-They compute the HDN ID list's hit mask by binary search and GCNAX's tile
-statistics by hash ``np.unique``; ``test_kernel_oracles.py`` checks the
-simulator's O(nnz) kernels against them.
+They compute the HDN ID list's hit mask by binary search, GCNAX's tile
+statistics by hash ``np.unique``, and a feature matrix as one dense draw;
+``test_kernel_oracles.py`` checks the simulator's O(nnz) kernels and the
+chunked CSR feature generator against them.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.accelerators.gcnax import _TileStats
+from repro.sparse.convert import dense_to_csr
+from repro.sparse.csr import CSRMatrix
 
 
 def searchsorted_lookup(node_ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -48,3 +51,34 @@ def hash_tile_statistics(sparse, tile_rows: int, tile_cols: int) -> _TileStats:
         nnz_per_tile=nnz_per_tile.astype(np.int64),
         distinct_cols_per_tile=distinct_counts.astype(np.int64),
     )
+
+
+def generate_feature_matrix(
+    num_rows: int,
+    num_cols: int,
+    density: float,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Dense feature matrix drawn in one shot: all normals, then the mask.
+
+    Non-zero positions are uniformly random; values are positive (as produced
+    by a ReLU), drawn from a half-normal distribution.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be in [0, 1], got {density}")
+    matrix = rng.standard_normal((num_rows, num_cols))
+    np.abs(matrix, out=matrix)
+    if density >= 1.0:
+        return matrix
+    mask = rng.random((num_rows, num_cols)) < density
+    matrix *= mask
+    return matrix
+
+
+def dense_feature_csr(
+    num_rows: int, num_cols: int, density: float, rng: np.random.Generator
+) -> CSRMatrix:
+    """:func:`generate_feature_matrix` compressed with ``dense_to_csr``."""
+    return dense_to_csr(generate_feature_matrix(num_rows, num_cols, density, rng))

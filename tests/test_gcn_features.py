@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from kernel_oracles import generate_feature_matrix
 from repro.gcn.features import (
     generate_feature_csr,
-    generate_feature_matrix,
     generate_weight_matrix,
     measured_density,
 )

@@ -6,6 +6,7 @@ import pytest
 from repro.gcn.layer import GCNLayer, GCNModel, build_model_for_dataset
 from repro.gcn.reference import gcn_layer_forward, layer_output_reference, relu
 from repro.sparse.convert import dense_to_csr
+from repro.sparse.csr import CSRMatrix
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def test_layer_shapes(toy_layer):
 
 def test_layer_forward_matches_reference(toy_layer):
     expected = relu(
-        toy_layer.adjacency.to_dense() @ toy_layer.features @ toy_layer.weight
+        toy_layer.adjacency.to_dense() @ toy_layer.features.to_dense() @ toy_layer.weight
     )
     np.testing.assert_allclose(toy_layer.forward(), expected)
     np.testing.assert_allclose(layer_output_reference(toy_layer), expected)
@@ -32,22 +33,30 @@ def test_layer_forward_matches_reference(toy_layer):
 
 def test_layer_forward_without_relu(toy_layer):
     toy_layer.apply_relu = False
-    expected = toy_layer.adjacency.to_dense() @ toy_layer.features @ toy_layer.weight
+    expected = toy_layer.adjacency.to_dense() @ toy_layer.features.to_dense() @ toy_layer.weight
     np.testing.assert_allclose(toy_layer.forward(), expected)
 
 
 def test_combination_product(toy_layer):
-    np.testing.assert_allclose(toy_layer.combination(), toy_layer.features @ toy_layer.weight)
+    np.testing.assert_allclose(
+        toy_layer.combination(), toy_layer.features.to_dense() @ toy_layer.weight
+    )
 
 
-def test_features_csr_cached(toy_layer):
-    first = toy_layer.features_csr
-    assert toy_layer.features_csr is first
-    assert first.nnz == int((toy_layer.features != 0).sum())
+def test_features_stored_as_csr(rng):
+    dense = rng.standard_normal((3, 4))
+    dense[dense < 0] = 0.0
+    layer = GCNLayer(adjacency=dense_to_csr(np.eye(3)), features=dense, weight=np.ones((4, 2)))
+    assert isinstance(layer.features, CSRMatrix)
+    assert layer.features.nnz == int((dense != 0).sum())
+    np.testing.assert_array_equal(layer.features.to_dense(), dense)
+    csr = dense_to_csr(dense)
+    assert GCNLayer(adjacency=layer.adjacency, features=csr, weight=layer.weight).features is csr
 
 
 def test_feature_density(toy_layer):
-    assert toy_layer.feature_density == pytest.approx((toy_layer.features != 0).mean())
+    dense = toy_layer.features.to_dense()
+    assert toy_layer.feature_density == pytest.approx((dense != 0).mean())
 
 
 def test_dimension_validation(rng):
@@ -62,7 +71,7 @@ def test_dimension_validation(rng):
 
 
 def test_gcn_layer_forward_helper(toy_layer):
-    out = gcn_layer_forward(toy_layer.adjacency, toy_layer.features, toy_layer.weight)
+    out = gcn_layer_forward(toy_layer.adjacency, toy_layer.features.to_dense(), toy_layer.weight)
     np.testing.assert_allclose(out, toy_layer.forward())
 
 

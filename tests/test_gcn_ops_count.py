@@ -26,7 +26,7 @@ def sparse_layer(rng):
 
 def test_a_xw_count_formula(sparse_layer):
     expected = (
-        sparse_layer.features_csr.nnz * sparse_layer.out_features
+        sparse_layer.features.nnz * sparse_layer.out_features
         + sparse_layer.adjacency.nnz * sparse_layer.out_features
     )
     assert mac_count_a_xw(sparse_layer) == expected

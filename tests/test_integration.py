@@ -43,7 +43,7 @@ def test_simulated_dataflow_is_functionally_correct_end_to_end(scaled_arch):
     """The row-stationary dataflow computes exactly the reference GCN output."""
     dataset = load_dataset("citeseer", num_nodes=220, seed=4)
     model = build_model_for_dataset(dataset, seed=4)
-    workloads = build_model_workloads(model)
+    workloads = build_model_workloads(model, materialize=True)
     # Layer 0: the simulated dataflow's product equals the model's combination/
     # aggregation products.
     layer0 = workloads[0]

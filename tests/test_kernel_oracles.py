@@ -1,12 +1,16 @@
 """Differential tests: the simulator kernels against their reference oracles."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_oracles import hash_tile_statistics, searchsorted_lookup
+from kernel_oracles import dense_feature_csr, hash_tile_statistics, searchsorted_lookup
 from repro.accelerators.gcnax import _tile_statistics
 from repro.core.hdn_cache import HDNIdList
+from repro.gcn import features
 from repro.sparse.csr import CSRMatrix
 
 id_lists = st.lists(st.integers(min_value=0, max_value=40), max_size=12)
@@ -99,3 +103,49 @@ def test_id_list_lookup_matches_oracle_on_empty_inputs():
         id_list.lookup(columns), searchsorted_lookup([3, 100], columns)
     )
     assert id_list.lookup(np.empty(0, dtype=np.int64)).shape == (0,)
+
+
+def assert_same_feature_csr(num_rows, num_cols, density, seed, chunk_rows=None):
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    chunk_elements = features._CHUNK_ELEMENTS if chunk_rows is None else chunk_rows * num_cols
+    with mock.patch.object(features, "_CHUNK_ELEMENTS", chunk_elements):
+        got = features.generate_feature_csr(num_rows, num_cols, density, got_rng)
+    want = dense_feature_csr(num_rows, num_cols, density, want_rng)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+    # The stream continues exactly where the one-shot draw left it, so the
+    # weight matrix drawn next is unchanged.
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    np.testing.assert_array_equal(got_rng.standard_normal(3), want_rng.standard_normal(3))
+
+
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=12),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=50),
+)
+@settings(max_examples=200, deadline=None)
+def test_chunked_feature_csr_matches_dense_oracle(num_rows, num_cols, density, seed, chunk_rows):
+    assert_same_feature_csr(num_rows, num_cols, density, seed, chunk_rows)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "num_rows, chunk_rows",
+    [(0, 4), (3, 8), (10, 4), (12, 4), (1, 1)],
+    ids=["no-rows", "under-one-chunk", "ragged-last-chunk", "whole-chunks", "single-row"],
+)
+def test_chunked_feature_csr_matches_oracle_on_edge_shapes(num_rows, chunk_rows, density):
+    assert_same_feature_csr(num_rows, 7, density, seed=11, chunk_rows=chunk_rows)
+
+
+def test_chunked_feature_csr_matches_oracle_with_default_chunks():
+    # Two default-sized chunks, the second one ragged.
+    num_cols = 64
+    num_rows = features._CHUNK_ELEMENTS // num_cols + 1000
+    assert_same_feature_csr(num_rows, num_cols, 0.05, seed=2)

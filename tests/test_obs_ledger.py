@@ -110,7 +110,15 @@ def test_default_requires_benchmarks_dir(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert ledger.ledger_path() is None  # no benchmarks/ directory here
     (tmp_path / "benchmarks").mkdir()
-    assert ledger.ledger_path() == ledger.DEFAULT_LEDGER_PATH
+    assert ledger.ledger_path() == Path("benchmarks") / "ledger.local.jsonl"
+
+
+def test_default_ledger_is_git_ignored():
+    # Ordinary runs from a checkout must never modify a tracked file.
+    root = Path(__file__).resolve().parents[1]
+    ignored = (root / ".gitignore").read_text().split()
+    assert ledger.DEFAULT_LEDGER_PATH.as_posix() in ignored
+    assert ledger.DEFAULT_LEDGER_PATH != Path("benchmarks") / "ledger.jsonl"
 
 
 # ---------------------------------------------------------------------------

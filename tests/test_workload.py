@@ -43,7 +43,7 @@ def test_phase_byte_helpers(small_workloads):
 
 def test_aggregation_dense_is_combination_output(small_model):
     layer = small_model.layers[0]
-    workload = build_layer_workload(layer)
+    workload = build_layer_workload(layer, materialize=True)
     np.testing.assert_allclose(workload.aggregation.dense, layer.combination())
 
 
