@@ -23,15 +23,15 @@ Commands:
   scale-out results without recomputing anything.
 * ``bench``                      — run the fixed benchmark ladder and
   append the measurements as ``benchmarks/BENCH_<n>.json`` (the
-  repository's performance trajectory), failing on wall-clock
-  regressions beyond the allowed factor.
+  repository's performance trajectory), failing when the trend gate
+  classifies a rung as regressed.
 * ``check``                      — run the static-analysis invariant
   checker (``repro.analyze``) over the source tree: layering,
   determinism, cache-identity, pool-safety, exception-hygiene,
   worker-purity and vectorization-contract rules, the latter two
   whole-program over the pool call graph (``--json``, ``--sarif``,
-  ``--changed``, ``--rules``, baseline support; exits 1 on new
-  findings, 2 on parse/usage errors).
+  ``--rules``, baseline support; exits 1 on new findings, 2 on
+  parse/usage errors).
 * ``trace <file>``               — summarise a trace written by ``--trace``:
   top spans, phase breakdown, cache hit rates.
 * ``stats``                      — query the persistent run ledger

@@ -8,11 +8,10 @@ root is derived from this file's location rather than by importing the
 
 Exit codes: ``0`` clean (new findings absent; baselined/suppressed ones
 are reported but do not fail), ``1`` new findings, ``2`` usage or
-configuration errors (bad root, unknown rule, broken baseline, a git
-failure under ``--changed``) *and* parse errors — a file the checker
-cannot parse silently truncates the whole-program analysis, so it is a
-configuration failure, not a finding; every parseable module is still
-checked and reported first.
+configuration errors (bad root, unknown rule, broken baseline) *and*
+parse errors — a file the checker cannot parse silently truncates the
+whole-program analysis, so it is a configuration failure, not a finding;
+every parseable module is still checked and reported first.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.analyze.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.analyze.changed import ChangedError
 from repro.analyze.engine import run_check
 from repro.analyze.findings import Finding
 from repro.analyze.project import Project, ProjectError
@@ -101,16 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         "before the baseline will load again)",
     )
     parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="scope the report to modules that differ from git REF "
-        "(default HEAD) plus everything that transitively imports them; "
-        "the whole tree is still parsed so whole-program rules stay exact",
-    )
-    parser.add_argument(
         "--sarif",
         type=Path,
         default=None,
@@ -148,12 +136,6 @@ def _print_human(report, baseline_path: Path | None) -> None:
     if report.parse_errors:
         for error in report.parse_errors:
             print(f"parse error: {error}", file=sys.stderr)
-    if report.scope is not None:
-        print(
-            f"scope (--changed {report.scope['ref']}): "
-            f"{len(report.scope['changed'])} changed module(s), "
-            f"{len(report.scope['scope'])} in the reverse-import closure"
-        )
     counts = (
         f"{len(report.findings)} new finding(s), "
         f"{len(report.baselined)} baselined, "
@@ -220,9 +202,8 @@ def main(argv: list[str] | None = None) -> int:
             root,
             rule_names=selectors,
             baseline_path=baseline_path,
-            changed_ref=args.changed,
         )
-    except (ProjectError, BaselineError, ChangedError) as error:
+    except (ProjectError, BaselineError) as error:
         print(str(error), file=sys.stderr)
         return 2
 

@@ -103,9 +103,10 @@ def _deps(*layers: str) -> frozenset[str]:
 
 #: The layer DAG of ``docs/architecture.md`` ("Layering"), as allowed
 #: module-scope dependencies.  ``obs`` is importable from everywhere and
-#: therefore not listed; sanctioned back-edges (harness -> dse for
-#: experiment registration, scaleout -> api for chip-slice requests) are
-#: spelled out rather than inferred.
+#: therefore not listed; sanctioned back-edges (harness -> dse, only for
+#: ``harness.__init__`` registering the DSE frontier experiment, and
+#: scaleout -> api for chip-slice requests) are spelled out rather than
+#: inferred.
 LAYER_DEPS: dict[str, frozenset[str]] = {
     "obs": _deps(),
     "analyze": _deps(),

@@ -394,10 +394,10 @@ _DEFAULT_SESSION_LOCK = threading.Lock()
 def get_session() -> Session:
     """The shared in-process session (memo only, no disk cache).
 
-    This is what the harness experiments, the sweep evaluators and the DSE
-    objective layer run through, so any two of them asking for the same
-    simulation pay for it once per process.  Construction is guarded by a
-    double-checked lock so concurrent first calls share one session.
+    This is what the harness experiments and the DSE objective layer run
+    through, so any two of them asking for the same simulation pay for it
+    once per process.  Construction is guarded by a double-checked lock so
+    concurrent first calls share one session.
     """
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:

@@ -17,7 +17,7 @@ Module map:
 * :mod:`repro.bench.worker` — ``python -m repro.bench.worker <rung>``,
   the per-rung subprocess entry used for isolated measurements;
 * :mod:`repro.bench.emit` — the ``BENCH_<n>.json`` schema, monotonic
-  numbering, validation and regression comparison;
+  numbering and validation;
 * :mod:`repro.bench.runner` — the CLI driver shared by the ``repro
   bench`` verb and ``benchmarks/perf.py``.
 """
@@ -26,8 +26,6 @@ from repro.bench.emit import (
     SCHEMA_VERSION,
     BenchSchemaError,
     build_document,
-    compare_documents,
-    latest_bench_path,
     load_bench,
     next_bench_number,
     validate_document,
@@ -51,8 +49,6 @@ __all__ = [
     "FULL_LADDER",
     "RUNGS",
     "build_document",
-    "compare_documents",
-    "latest_bench_path",
     "load_bench",
     "next_bench_number",
     "run_bench",

@@ -1,4 +1,4 @@
-"""``BENCH_<n>.json`` — the schema, numbering and regression comparison.
+"""``BENCH_<n>.json`` — the schema, numbering and validation.
 
 Documents are append-only: each emitted file gets the next free number in
 the directory, so the sequence ``BENCH_0.json, BENCH_1.json, ...`` is the
@@ -57,12 +57,6 @@ def next_bench_number(bench_dir: Path | str = DEFAULT_BENCH_DIR) -> int:
     """The next free number: one past the highest existing one (monotonic)."""
     existing = bench_files(bench_dir)
     return existing[-1][0] + 1 if existing else 0
-
-
-def latest_bench_path(bench_dir: Path | str = DEFAULT_BENCH_DIR) -> Path | None:
-    """Path of the highest-numbered document, or ``None`` when empty."""
-    existing = bench_files(bench_dir)
-    return existing[-1][1] if existing else None
 
 
 def git_revision() -> str:
@@ -192,36 +186,3 @@ def load_bench(path: Path | str) -> dict:
         raise BenchSchemaError(f"{path} is not valid JSON: {error}") from error
     validate_document(document)
     return document
-
-
-def compare_documents(previous: dict, current: dict, max_ratio: float = 2.0) -> list[dict]:
-    """Per-rung wall-clock comparison of two documents.
-
-    Returns one record per rung present in both documents, each carrying
-    the wall-clock ratio (current / previous) and whether it exceeds
-    ``max_ratio`` (a regression).  Rungs whose scenario digest changed are
-    reported as incomparable instead of regressed — the workload itself
-    moved, so the ratio is meaningless.
-    """
-    previous_by_name = {sample["rung"]: sample for sample in previous["rungs"]}
-    comparisons = []
-    for sample in current["rungs"]:
-        name = sample["rung"]
-        before = previous_by_name.get(name)
-        if before is None:
-            continue
-        comparable = before["scenario_digest"] == sample["scenario_digest"]
-        ratio = None
-        if comparable and before["wall_seconds"] > 0:
-            ratio = sample["wall_seconds"] / before["wall_seconds"]
-        comparisons.append(
-            {
-                "rung": name,
-                "previous_wall_seconds": before["wall_seconds"],
-                "wall_seconds": sample["wall_seconds"],
-                "comparable": comparable,
-                "ratio": ratio,
-                "regressed": bool(comparable and ratio is not None and ratio > max_ratio),
-            }
-        )
-    return comparisons

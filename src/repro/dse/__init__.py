@@ -10,8 +10,7 @@ search engine:
   samplers behind one :class:`~repro.dse.samplers.Sampler` protocol.
 * :mod:`repro.dse.objectives` — candidate evaluation on cycles, DRAM
   traffic, energy and area, with constraint filtering (e.g. an area
-  budget); also hosts the Figure 24/25 sweep evaluators consumed through
-  :mod:`repro.harness.sweep`.
+  budget).
 * :mod:`repro.dse.pareto` — dominance tests and non-dominated sorting.
 * :mod:`repro.dse.engine` — :class:`~repro.dse.engine.DSERunner`:
   generation loop, ``ProcessPoolExecutor`` fan-out, incremental caching

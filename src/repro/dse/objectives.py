@@ -16,10 +16,6 @@ per process.  It
 * applies an :class:`ObjectiveSet`: which metrics to optimise in which
   direction, plus constraints (e.g. ``area_mm2 <= budget``) that mark
   candidates infeasible without discarding their cached metrics.
-
-It also hosts the single-point sweep evaluators (``grow_cycles``,
-``gcnax_cycles``, the bandwidth/runahead sweeps) that the paper's Figure
-24/25 sensitivity experiments consume via :mod:`repro.harness.sweep`.
 """
 
 from __future__ import annotations
@@ -31,108 +27,12 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 from repro.accelerators.base import merge_sram_events
-from repro.core.accelerator import GrowSimulator
-from repro.core.preprocess import PreprocessPlan
 from repro.energy.area import GCNAX_AREA_MM2_40NM, grow_area_breakdown, scale_area
 from repro.energy.energy_model import estimate_energy
 from repro.harness.config import ExperimentConfig
-from repro.harness.workloads import WorkloadBundle, get_bundle
 
 #: Metric names every evaluation produces, in report-column order.
 METRIC_NAMES = ("cycles", "dram_bytes", "energy_nj", "area_mm2")
-
-
-# -- sweep evaluators (the Figure 24/25 building blocks) -------------------
-#
-# Single-point evaluations route through the API facade via the same
-# ``harness.experiments.common.simulate`` bridge the figure experiments use:
-# the shared session memoises runs per process, so a sweep that revisits a
-# point another experiment already paid for is free.  Hand-built bundles or
-# plans — anything not reconstructible from ``(dataset, config)`` — fall
-# back to direct simulation so the historical contract of these evaluators
-# is preserved.  Imports happen at call time: ``repro.api`` and the
-# experiment helpers bind onto harness configs, so module-level imports
-# would create cycles.
-
-
-def _is_canonical_bundle(config: ExperimentConfig, bundle: WorkloadBundle) -> bool:
-    """Whether ``bundle`` is exactly what ``get_bundle`` builds for config."""
-    from repro.graph import registry
-
-    known = registry.known_dataset(bundle.name) or config.scenario_for(bundle.name)
-    return bool(known) and get_bundle(bundle.name, config) is bundle
-
-
-def grow_cycles(
-    config: ExperimentConfig,
-    bundle: WorkloadBundle,
-    plan: PreprocessPlan | None = None,
-    **grow_overrides,
-) -> float:
-    """Total GROW cycles for one bundle under config overrides."""
-    canonical_plan = plan is None or plan is bundle.plan or plan is bundle.plan_unpartitioned
-    if not canonical_plan or not _is_canonical_bundle(config, bundle):
-        # A hand-built plan or bundle is not describable as a request.
-        simulator = GrowSimulator(config.grow_config(**grow_overrides))
-        return simulator.run_model(
-            bundle.workloads, plan if plan is not None else bundle.plan
-        ).total_cycles
-    from repro.harness.experiments.common import simulate
-
-    partitioned = plan is not bundle.plan_unpartitioned
-    return simulate(
-        config, bundle.name, "grow", partitioned=partitioned, **grow_overrides
-    ).total_cycles
-
-
-def gcnax_cycles(config: ExperimentConfig, bundle: WorkloadBundle, **gcnax_overrides) -> float:
-    """Total GCNAX cycles for one bundle under config overrides."""
-    if not _is_canonical_bundle(config, bundle):
-        from repro.accelerators.gcnax import GCNAXSimulator
-
-        simulator = GCNAXSimulator(config.gcnax_config(**gcnax_overrides))
-        return simulator.run_model(bundle.workloads).total_cycles
-    from repro.harness.experiments.common import simulate
-
-    return simulate(config, bundle.name, "gcnax", **gcnax_overrides).total_cycles
-
-
-def bandwidth_sweep_cycles(
-    config: ExperimentConfig,
-    bundle: WorkloadBundle,
-    bandwidth_factors: tuple[float, ...],
-    accelerator: str,
-) -> dict[float, float]:
-    """Total cycles of one accelerator across relative bandwidth factors.
-
-    Factors are relative to the configuration's nominal bandwidth, matching
-    the presentation of the paper's Figure 25(b) (each design normalised to
-    its own mid-sweep point).
-    """
-    cycles: dict[float, float] = {}
-    for factor in bandwidth_factors:
-        swept = config.with_bandwidth(config.bandwidth_gbps * factor)
-        if accelerator == "grow":
-            cycles[factor] = grow_cycles(swept, bundle)
-        elif accelerator == "gcnax":
-            cycles[factor] = gcnax_cycles(swept, bundle)
-        else:
-            raise ValueError(f"unknown accelerator {accelerator!r}")
-    return cycles
-
-
-def runahead_sweep_cycles(
-    config: ExperimentConfig,
-    bundle: WorkloadBundle,
-    degrees: tuple[int, ...],
-) -> dict[int, float]:
-    """Total GROW cycles across runahead degrees (Figure 25(a))."""
-    return {
-        degree: grow_cycles(
-            config, bundle, runahead_degree=degree, ldn_table_entries=max(16, degree)
-        )
-        for degree in degrees
-    }
 
 
 # -- objectives and constraints --------------------------------------------
@@ -308,7 +208,7 @@ def _bind_scenario(
 def _provision_ldn(grow_overrides: dict) -> dict:
     """Size the LDN table to a searched runahead degree.
 
-    The paper's Figure 25(a) convention (same as ``runahead_sweep_cycles``):
+    The paper's Figure 25(a) convention (same as ``fig25a_runahead_sweep``):
     ``ldn_table_entries`` only acts through ``min(degree, entries)``, so left
     at its default it would silently clamp degrees above 16 and make
     distinct candidates alias the same effective design.  Applied by every

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -142,7 +143,12 @@ class ResultCache:
             "elapsed_seconds": elapsed_seconds,
             "result": result.to_dict(),
         }
-        path.write_text(json.dumps(entry, indent=2, default=json_default) + "\n")
+        # Write beside the entry, then rename over it: a writer killed
+        # mid-write leaves a stray ``.tmp`` file (no ``*.json`` glob matches
+        # it) instead of truncating the entry already there.
+        tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        tmp.write_text(json.dumps(entry, indent=2, default=json_default) + "\n")
+        os.replace(tmp, path)
         metrics.inc("cache.writes")
         return path
 

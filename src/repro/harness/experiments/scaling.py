@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.harness.config import ExperimentConfig
+from repro.harness.experiments.common import simulate
 from repro.harness.registry import register
 from repro.harness.report import ExperimentResult
-from repro.harness.sweep import bandwidth_sweep_cycles, runahead_sweep_cycles
-from repro.harness.workloads import get_bundle
 
 
 @register("fig24_pe_scaling")
@@ -48,8 +47,14 @@ def fig25a_runahead_sweep(config: ExperimentConfig) -> ExperimentResult:
         columns=["dataset"] + [f"way_{d}" for d in degrees],
     )
     for name in config.datasets:
-        bundle = get_bundle(name, config)
-        cycles = runahead_sweep_cycles(config, bundle, degrees)
+        # ``ldn_table_entries`` acts through ``min(degree, entries)``, so it
+        # grows with the degree or degrees above 16 would alias.
+        cycles = {
+            d: simulate(
+                config, name, "grow", runahead_degree=d, ldn_table_entries=max(16, d)
+            ).total_cycles
+            for d in degrees
+        }
         base = cycles[1]
         result.add_row(dataset=name, **{f"way_{d}": base / cycles[d] for d in degrees})
     return result
@@ -73,9 +78,13 @@ def fig25b_bandwidth_sweep(config: ExperimentConfig) -> ExperimentResult:
         ],
     )
     for name in config.datasets:
-        bundle = get_bundle(name, config)
         for design in ("gcnax", "grow"):
-            cycles = bandwidth_sweep_cycles(config, bundle, factors, design)
+            cycles = {
+                f: simulate(
+                    config.with_bandwidth(config.bandwidth_gbps * f), name, design
+                ).total_cycles
+                for f in factors
+            }
             base = cycles[1.0]
             result.add_row(
                 dataset=name,

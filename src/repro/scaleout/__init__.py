@@ -32,7 +32,6 @@ from repro.scaleout.engine import (
     ChipOutcome,
     ScaleOutResult,
     ScaleOutSimulator,
-    clear_chip_memo,
     clear_shard_cache,
     get_shard_plan,
     simulate_scaleout,
@@ -69,5 +68,4 @@ __all__ = [
     "simulate_scaleout",
     "get_shard_plan",
     "clear_shard_cache",
-    "clear_chip_memo",
 ]

@@ -48,7 +48,6 @@ from typing import Any, Callable, Sequence
 
 from repro.accelerators.base import AcceleratorResult, merge_sram_events
 from repro.api import ChipSpec, Session, SimRequest
-from repro.api.session import clear_memo as _clear_api_memo
 from repro.energy.area import grow_area_breakdown
 from repro.energy.energy_model import estimate_energy
 from repro.harness.cache import ResultCache
@@ -105,15 +104,6 @@ def get_shard_plan(
 def clear_shard_cache() -> None:
     """Drop memoised shard plans (used by tests that vary global state)."""
     _SHARD_CACHE.clear()
-
-
-def clear_chip_memo() -> None:
-    """Drop memoised per-chip results (used by tests that vary global state).
-
-    Per-chip runs are memoised by the API session layer since the facade
-    landed; this clears that shared memo.
-    """
-    _clear_api_memo()
 
 
 @dataclass

@@ -533,7 +533,8 @@ def test_cli_json_report_schema(tmp_path, capsys):
     code = check_main(["--root", str(root), "--no-baseline", "--json"])
     assert code == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
+    assert "scope" not in payload
     assert payload["ok"] is False
     assert payload["files_scanned"] == 1
     assert [f["rule"] for f in payload["findings"]] == ["DET001"]

@@ -2,8 +2,7 @@
 
 Covers the call graph (``repro.analyze.callgraph``), the three rule
 families built on it (CONC worker purity, VEC vectorization contract,
-KEY003 cache-key flow), the SARIF 2.1.0 export and the git-scoped
-``--changed`` mode.  Fixture trees follow ``tests/test_analyze.py``'s
+KEY003 cache-key flow) and the SARIF 2.1.0 export.  Fixture trees follow ``tests/test_analyze.py``'s
 idiom: first-level package names reuse the real layer names so
 ``DEFAULT_CONFIG`` applies unchanged, and each new family is exercised
 positive / negative / suppressed / baselined.
@@ -17,11 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analyze import run_check
 from repro.analyze.callgraph import graph_for, pool_entry_points
-from repro.analyze.changed import ChangedError, reverse_closure
 from repro.analyze.cli import main as check_main
 from repro.analyze.contracts import DEFAULT_CONFIG
 from repro.analyze.project import Project
@@ -559,124 +555,35 @@ def test_sarif_carries_parse_errors_as_notifications(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# --changed: git-scoped incremental checking
-
-
-def _git(root, *args):
-    subprocess.run(
-        ["git", "-c", "user.email=t@t", "-c", "user.name=t", *args],
-        cwd=root, check=True, capture_output=True, text=True,
-    )
-
-
-def _changed_fixture(tmp_path):
-    """A committed tree where core/a.py is imported by harness/b.py,
-    while sparse/c.py is unrelated and carries its own violation."""
-    root = make_tree(tmp_path, {
-        "core/a.py": "def cost():\n    return 0\n",
-        "harness/b.py": "from repro.core.a import cost\n",
-        "sparse/c.py": "import time\nT = time.time()\n",
-    })
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-qm", "seed")
-    return root
-
-
-def test_changed_scope_is_the_reverse_import_closure(tmp_path):
-    root = _changed_fixture(tmp_path)
-    # Introduce a violation in the changed module only.
-    (root / "core" / "a.py").write_text(
-        "import time\ndef cost():\n    return time.time()\n"
-    )
-    report = run_check(root, changed_ref="HEAD")
-    assert report.scope is not None
-    assert report.scope["changed"] == ["repro/core/a.py"]
-    # The importer rides along; the unrelated module does not.
-    assert "repro/harness/b.py" in report.scope["scope"]
-    assert "repro/sparse/c.py" not in report.scope["scope"]
-    # sparse/c.py's pre-existing DET001 is filtered out of the report.
-    assert {f.path for f in report.findings} == {"repro/core/a.py"}
-
-
-def test_changed_scope_includes_untracked_files(tmp_path):
-    root = _changed_fixture(tmp_path)
-    (root / "core" / "fresh.py").write_text("import time\nT = time.time()\n")
-    report = run_check(root, changed_ref="HEAD")
-    assert "repro/core/fresh.py" in report.scope["changed"]
-    assert {f.path for f in report.findings} == {"repro/core/fresh.py"}
-
-
-def test_changed_clean_diff_reports_nothing(tmp_path):
-    root = _changed_fixture(tmp_path)
-    report = run_check(root, changed_ref="HEAD")
-    assert report.findings == []
-    assert report.scope["changed"] == []
-
-
-def test_changed_bad_ref_is_a_usage_error(tmp_path, capsys):
-    root = _changed_fixture(tmp_path)
-    code = check_main([
-        "--root", str(root), "--no-baseline", "--changed", "no-such-ref",
-    ])
-    assert code == 2
-    assert "git" in capsys.readouterr().err
-
-
-def test_changed_outside_git_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    root = make_tree(tmp_path, {"core/a.py": "X = 1\n"})
-    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
-    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-such-gitdir"))
-    with pytest.raises(ChangedError):
-        run_check(root, changed_ref="HEAD")
-
-
-def test_reverse_closure_is_transitive(tmp_path):
-    root = make_tree(tmp_path, {
-        "core/a.py": "",
-        "gcn/b.py": "from repro.core import a\n",
-        "harness/c.py": "from repro.gcn import b\n",
-        "sparse/d.py": "",
-    })
-    project = Project.load(root)
-    closure = reverse_closure(project, {"repro.core.a"})
-    assert closure == {"repro.core.a", "repro.gcn.b", "repro.harness.c"}
-
-
-def test_changed_cli_end_to_end(tmp_path, capsys):
-    root = _changed_fixture(tmp_path)
-    (root / "core" / "a.py").write_text(
-        "import time\ndef cost():\n    return time.time()\n"
-    )
-    code = check_main(["--root", str(root), "--no-baseline", "--changed", "--json"])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["scope"]["ref"] == "HEAD"
-    assert payload["scope"]["changed"] == ["repro/core/a.py"]
-    assert [f["path"] for f in payload["findings"]] == ["repro/core/a.py"]
-
-
-# ---------------------------------------------------------------------------
 # The checker stays importable on a bare interpreter
 
 
 def test_analyze_package_is_stdlib_only(tmp_path):
     """``repro check`` must run where numpy etc. are absent: importing
     the whole analyze package under an import hook that blocks every
-    third-party module must succeed."""
+    third-party module must succeed.  A fake ``numpy`` on the path proves
+    the hook really blocks, so the test cannot pass vacuously."""
+    fake = tmp_path / "numpy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
     script = (
         "import sys\n"
         "class Block:\n"
-        "    def find_module(self, name, path=None):\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
         "        top = name.split('.')[0]\n"
         "        if top in ('numpy', 'scipy', 'matplotlib', 'pandas'):\n"
         "            raise ImportError(f'third-party import blocked: {name}')\n"
         "        return None\n"
         "sys.meta_path.insert(0, Block())\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError as error:\n"
+        "    assert 'third-party import blocked' in str(error), error\n"
+        "else:\n"
+        "    raise SystemExit('the import blocker let numpy through')\n"
         "import repro.analyze\n"
         "import repro.analyze.callgraph\n"
         "import repro.analyze.sarif\n"
-        "import repro.analyze.changed\n"
         "from repro.analyze.cli import main\n"
         "print('ok')\n"
     )
@@ -684,7 +591,7 @@ def test_analyze_package_is_stdlib_only(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True, text=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        env={"PYTHONPATH": f"{src}:{tmp_path}", "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"

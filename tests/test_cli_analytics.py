@@ -1,5 +1,5 @@
 """CLI tests for the analytics verbs: ``stats``, ``dash``, the ``trace``
-zero-span fix and the ``bench --gate`` round-trip.
+zero-span fix and the ``bench`` trend-gate round-trip.
 
 Everything runs the real entry points in-process (``repro.__main__.main``
 / ``repro.bench.runner.run_bench``) against temporary directories; the
@@ -166,7 +166,7 @@ def test_trace_metadata_only_is_still_empty(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# repro bench --gate: the end-to-end round trip (acceptance).
+# repro bench's trend gate: the end-to-end round trip (acceptance).
 # ---------------------------------------------------------------------------
 
 
@@ -180,14 +180,14 @@ def test_bench_gate_round_trip(tmp_path, monkeypatch, capsys):
 
     # First run: no history, the rung classifies as new, the gate passes.
     assert run_bench(rungs=["grow-1k"], bench_dir=bench_dir, isolated=False,
-                     gate=True, out=buffer) == 0
+                     out=buffer) == 0
     assert "new rung" in buffer.getvalue()
     assert (bench_dir / "BENCH_0.json").exists()
 
     # Second run: history exists; a generous band must pass.
     buffer = io.StringIO()
     assert run_bench(rungs=["grow-1k"], bench_dir=bench_dir, isolated=False,
-                     gate=True, gate_tolerance=50.0, out=buffer) == 0
+                     gate_tolerance=50.0, out=buffer) == 0
     assert "trend gate passed" in buffer.getvalue()
 
     # Each measured rung left a bench line in the ledger.
@@ -199,7 +199,7 @@ def test_bench_gate_round_trip(tmp_path, monkeypatch, capsys):
     # An absurdly tight band must fail and attribute the regression.
     buffer = io.StringIO()
     code = run_bench(rungs=["grow-1k"], bench_dir=bench_dir, isolated=False,
-                     gate=True, gate_tolerance=1e-9, out=buffer)
+                     gate_tolerance=1e-9, out=buffer)
     text = buffer.getvalue()
     if code == 1:  # a min-of-window tie can legitimately squeak through
         assert "trend gate FAILED" in text

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,40 @@ def test_result_cache_round_trip(tmp_path, config):
     assert fetched is not None and fetched.to_dict() == result.to_dict()
     assert cache.clear() == 1
     assert cache.get("demo", config) is None
+
+
+def test_result_cache_put_killed_mid_write_keeps_the_old_entry(
+    tmp_path, config, monkeypatch
+):
+    cache = ResultCache(tmp_path)
+    first = ExperimentResult(
+        name="demo", paper_reference="Figure 0", description="d", columns=["x"]
+    )
+    first.add_row(x=1.0)
+    cache.put("demo", config, first)
+
+    second = ExperimentResult(
+        name="demo", paper_reference="Figure 0", description="d", columns=["x"]
+    )
+    second.add_row(x=2.0)
+    writes = []
+
+    def die_halfway(self, data, *args, **kwargs):
+        # Leave half the bytes on disk, then die like a killed process.
+        writes.append(self)
+        with open(self, "w") as handle:
+            handle.write(data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Path, "write_text", die_halfway)
+    with pytest.raises(KeyboardInterrupt):
+        cache.put("demo", config, second)
+    monkeypatch.undo()
+
+    assert writes, "put() no longer writes through Path.write_text"
+    fetched = cache.get("demo", config)
+    assert fetched is not None and fetched.to_dict() == first.to_dict()
+    assert [path.name for path in cache.entries()] == [cache.path_for("demo", config).name]
 
 
 def test_cache_coexists_across_configs_but_prunes_old_code_versions(tmp_path, config):

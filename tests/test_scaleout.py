@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import clear_memo
 from repro.core.accelerator import GrowSimulator
 from repro.harness import smoke_config
 from repro.harness.workloads import get_bundle
@@ -16,7 +17,7 @@ from repro.scaleout import (
     chip_workloads,
     make_topology,
 )
-from repro.scaleout.engine import clear_chip_memo, clear_shard_cache
+from repro.scaleout.engine import clear_shard_cache
 
 
 @pytest.fixture(scope="module")
@@ -240,7 +241,7 @@ def test_multi_chip_system_reports_traffic_and_efficiency(config):
 
 def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
     clear_shard_cache()
-    clear_chip_memo()  # the serial run must really execute, not hit the memo
+    clear_memo()  # the serial run must really execute, not hit the memo
     topology = ChipTopology(4, kind="ring")
     serial = ScaleOutSimulator(
         config=config, topology=topology, jobs=1, results_dir=tmp_path
@@ -250,7 +251,7 @@ def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
     ).run("amazon")
     # Clearing the in-memory memo forces the third run through the on-disk
     # cache entries the first two runs wrote.
-    clear_chip_memo()
+    clear_memo()
     cached = ScaleOutSimulator(
         config=config, topology=topology, jobs=1, results_dir=tmp_path
     ).run("amazon")
@@ -260,11 +261,11 @@ def test_serial_parallel_and_cached_runs_are_identical(config, tmp_path):
 
 
 def test_chip_cache_is_shared_across_link_parameter_sweeps(config, tmp_path):
-    clear_chip_memo()  # force the first run to write real disk entries
+    clear_memo()  # force the first run to write real disk entries
     ScaleOutSimulator(
         config=config, topology=ChipTopology(4, link_bandwidth_gbps=16.0), results_dir=tmp_path
     ).run("amazon")
-    clear_chip_memo()
+    clear_memo()
     swept = ScaleOutSimulator(
         config=config, topology=ChipTopology(4, link_bandwidth_gbps=64.0), results_dir=tmp_path
     ).run("amazon")
@@ -273,7 +274,7 @@ def test_chip_cache_is_shared_across_link_parameter_sweeps(config, tmp_path):
 
 
 def test_chip_memo_avoids_resimulation_without_a_disk_cache(config):
-    clear_chip_memo()
+    clear_memo()
     first = ScaleOutSimulator(
         config=config, topology=ChipTopology(4), use_cache=False
     ).run("amazon")
